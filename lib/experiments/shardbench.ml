@@ -51,14 +51,23 @@ let run_once ~seed ~rounds (c : cell) =
   in
   let pids = Array.of_list (Engine.fresh_pids eng c.sb_procs) in
   let digests = Array.make c.sb_procs 0L in
-  let peers_of i ~cross =
-    let want j =
-      j <> i && (if cross then j mod sites <> i mod sites
-                 else j mod sites = i mod sites)
-    in
-    let same = List.filter want (List.init c.sb_procs (fun j -> j)) in
-    if same <> [] then same
-    else List.filter (fun j -> j <> i) (List.init c.sb_procs (fun j -> j))
+  (* Each worker's partners, same-site and cross-site, in index order; a
+     side with no partner falls back to every other worker. Built once
+     per run, so a send costs one draw and one array read: the bench
+     times the engine, not its own list building. *)
+  let peers =
+    let others i = List.filter (fun j -> j <> i) (List.init c.sb_procs Fun.id) in
+    Array.init c.sb_procs (fun i ->
+        let side cross =
+          let want j =
+            if cross then j mod sites <> i mod sites
+            else j mod sites = i mod sites
+          in
+          match List.filter want (others i) with
+          | [] -> Array.of_list (others i)
+          | l -> Array.of_list l
+        in
+        (side false, side true))
   in
   let worker i ctx =
     let rng = Rng.create ~seed:((seed * 9176) + i) in
@@ -78,8 +87,8 @@ let run_once ~seed ~rounds (c : cell) =
     in
     for round = 1 to rounds do
       let cross = Rng.bernoulli rng ~p:c.sb_cross in
-      let peers = peers_of i ~cross in
-      let peer = List.nth peers (Rng.int rng (List.length peers)) in
+      let peers = (if cross then snd else fst) peers.(i) in
+      let peer = peers.(Rng.int rng (Array.length peers)) in
       Engine.send ctx ~tag:"sb" pids.(peer)
         (Payload.int ((i * 1_000_003) + round));
       drain_pending ();

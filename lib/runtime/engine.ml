@@ -26,7 +26,22 @@ type proc_state =
   | Suspended
   | Dead of exit_status
 
-type cpu_task = { mutable remaining : float; resume : unit -> unit }
+(* A process's pending CPU work. Its remaining work and the CPU its owner
+   has used so far live in the engine's flat float arrays at [slot], so
+   the per-event float arithmetic stores unboxed. *)
+type cpu_task = {
+  owner : Pid.t;
+  resume : unit -> unit;
+  mutable slot : int;  (* index into the engine's CPU arrays; -1 once detached *)
+  mutable ledger : float ref;
+      (* the owner's [cpu_used] cell, written back when the task detaches;
+         [no_ledger] until the owner's first positive charge *)
+  mutable added : int;  (* add order, for first-charge ordering *)
+}
+
+let no_ledger = ref 0.
+let no_task =
+  { owner = Pid.of_int (-1); resume = ignore; slot = -1; ledger = no_ledger; added = -1 }
 
 type park =
   | Park_recv of {
@@ -68,6 +83,12 @@ type pcb = {
          pid is the finest shard-independent split of the root seed.
          Each shard owns exactly the streams of its resident
          processes. *)
+  born : int;  (* creation order: pcbs made before it in this engine *)
+  mutable queued : bool;  (* due a sweep visit (see [sweep]) *)
+  mutable defer_key : int;
+      (* position in the deferred-fate order (see [sweep]); 0 when its
+         fate is not deferred *)
+  mutable defer_queued : bool;  (* due a deferred-fate settle *)
 }
 
 and ctx = { engine : t; pcb : pcb }
@@ -158,20 +179,46 @@ and t = {
   model_ : Cost_model.t;
   cores : cores;
   trace_ : Trace.t;
-  cpu_tasks : (Pid.t, cpu_task) Hashtbl.t;
+  (* --- Processor sharing: the live tasks in slots [0, cpu_n) -------- *)
+  mutable cpu_tasks : cpu_task array;
+  mutable cpu_rem : floatarray;  (* remaining work, by slot *)
+  mutable cpu_use : floatarray;  (* the owner's CPU used so far, by slot *)
+  mutable cpu_n : int;
+  mutable cpu_uncharged : cpu_task list;  (* added, owner not in [cpu_used] yet *)
+  mutable cpu_added : int;
+  mutable cpu_buckets : int;
   cpu_used : (Pid.t, float ref) Hashtbl.t;
+  cpu_last : floatarray;  (* [0] = time of the last CPU update *)
   mutable cpu_gen : int;
-  mutable cpu_last : float;
   mutable cpu_tick_ev : event option;
   channels : (Pid.t * Pid.t, channel) Hashtbl.t;
   mutable next_uid : int;  (* engine-global send identity *)
   mutable mailbox_scanned : int;  (* slots visited by receive scans *)
   mutable events_processed : int;
   mutable live : int;
-  mutable deferred : Pid.t list;  (* exited ok, fate deferred on predicates *)
   mutable stopped : bool;
+  (* --- The predicate sweep (see [sweep]) ---------------------------- *)
   mutable sweeping : bool;
   mutable sweep_again : bool;
+  mutable pcbs_made : int;
+  dependents : (Pid.t, pcb list) Hashtbl.t;
+      (* undecided pid -> pcbs whose predicate gained it *)
+  visit_due : pcb Event_queue.t;  (* due in the current pass, keyed by pid *)
+  mutable visit_next : pcb list;  (* due from the next pass on *)
+  mutable pass_born : int;  (* [pcbs_made] when the current pass began *)
+  mutable pass_cursor : int;  (* pid being visited; max_int between passes *)
+  (* Processes that exited ok with their fate deferred on unresolved
+     assumptions settle in [defer_key] order: a new entry goes ahead of
+     every earlier one, except that entries deferred while a settle walks
+     go after every earlier one. *)
+  mutable defer_front : int;  (* smallest key in use, counting down from 0 *)
+  mutable defer_back : int;  (* largest key in use, counting up from 0 *)
+  settle_due : pcb Event_queue.t;  (* due in the current walk, by defer_key *)
+  mutable settle_next : pcb list;  (* due from the next settle on *)
+  mutable settling : bool;
+  mutable settle_last : int;  (* [defer_back] when the walk began *)
+  mutable settle_cursor : int;  (* key being settled *)
+  mutable settle_new : pcb list;  (* deferred during the walk, newest first *)
   mutable msg_fault : (Message.t -> fault_action) option;
   mutable spawn_hook : (Pid.t -> string -> unit) option;
   mutable site_hook :
@@ -224,20 +271,39 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     model_ = model;
     cores;
     trace_ = Trace.create ~enabled:trace ();
-    cpu_tasks = Hashtbl.create 16;
+    cpu_tasks = [||];
+    cpu_rem = Float.Array.create 0;
+    cpu_use = Float.Array.create 0;
+    cpu_n = 0;
+    cpu_uncharged = [];
+    cpu_added = 0;
+    cpu_buckets = 16;
     cpu_used = Hashtbl.create 64;
+    cpu_last = Float.Array.make 1 0.;
     cpu_gen = 0;
-    cpu_last = 0.;
     cpu_tick_ev = None;
     channels = Hashtbl.create 64;
     next_uid = 0;
     mailbox_scanned = 0;
     events_processed = 0;
     live = 0;
-    deferred = [];
     stopped = false;
     sweeping = false;
     sweep_again = false;
+    pcbs_made = 0;
+    dependents = Hashtbl.create 16;
+    visit_due = Event_queue.create ();
+    visit_next = [];
+    pass_born = 0;
+    pass_cursor = max_int;
+    defer_front = 0;
+    defer_back = 0;
+    settle_due = Event_queue.create ();
+    settle_next = [];
+    settling = false;
+    settle_last = 0;
+    settle_cursor = 0;
+    settle_new = [];
     msg_fault = None;
     spawn_hook = None;
     site_hook = None;
@@ -320,30 +386,52 @@ let proc_state_string = function
 (* ------------------------------------------------------------------ *)
 (* CPU: egalitarian processor sharing over [cores] processors.         *)
 
+(* A CPU event does O(live tasks) float arithmetic over the flat arrays
+   and nothing else per task: no table walk, no lookup, no allocation. *)
+
 let cpu_rate t =
-  let n = Hashtbl.length t.cpu_tasks in
+  let n = t.cpu_n in
   if n = 0 then 1.0
   else
     match t.cores with
     | Infinite -> 1.0
     | Cores c -> Float.min 1.0 (float_of_int c /. float_of_int n)
 
-let charge_cpu_used t pid amount =
-  match Hashtbl.find_opt t.cpu_used pid with
-  | Some r -> r := !r +. amount
-  | None -> Hashtbl.replace t.cpu_used pid (ref amount)
+(* [total_cpu_time] sums [cpu_used] in table order, so the order in which
+   owners enter it is part of that float result. An owner enters at its
+   first positive charge; owners first charged by the same update enter
+   in hash-bucket order, newest first within a bucket — the iteration
+   order of a pid-keyed [Hashtbl] holding the live tasks, whose bucket
+   count [cpu_buckets] tracks (16, doubled whenever the task count
+   exceeds twice it, never shrunk). *)
+let open_ledgers t =
+  let bucket task = Hashtbl.hash task.owner land (t.cpu_buckets - 1) in
+  let fresh = List.filter (fun task -> task.slot >= 0) t.cpu_uncharged in
+  t.cpu_uncharged <- [];
+  List.iter
+    (fun task ->
+      let r = ref (Float.Array.get t.cpu_use task.slot) in
+      task.ledger <- r;
+      Hashtbl.replace t.cpu_used task.owner r)
+    (List.sort
+       (fun a b ->
+         match Int.compare (bucket a) (bucket b) with
+         | 0 -> Int.compare b.added a.added
+         | c -> c)
+       fresh)
 
 let cpu_update t =
-  let elapsed = t.vnow -. t.cpu_last in
+  let elapsed = t.vnow -. Float.Array.unsafe_get t.cpu_last 0 in
   if elapsed > 0. then begin
     let rate = cpu_rate t in
-    Hashtbl.iter
-      (fun pid task ->
-        task.remaining <- task.remaining -. (elapsed *. rate);
-        charge_cpu_used t pid (elapsed *. rate))
-      t.cpu_tasks
+    let rem = t.cpu_rem and use = t.cpu_use in
+    for i = 0 to t.cpu_n - 1 do
+      Float.Array.unsafe_set rem i (Float.Array.unsafe_get rem i -. (elapsed *. rate));
+      Float.Array.unsafe_set use i (Float.Array.unsafe_get use i +. (elapsed *. rate))
+    done;
+    if t.cpu_uncharged <> [] then open_ledgers t
   end;
-  t.cpu_last <- t.vnow
+  Float.Array.unsafe_set t.cpu_last 0 t.vnow
 
 let rec cpu_reschedule t =
   t.cpu_gen <- t.cpu_gen + 1;
@@ -352,41 +440,85 @@ let rec cpu_reschedule t =
     cancel_event ev;
     t.cpu_tick_ev <- None
   | None -> ());
-  if Hashtbl.length t.cpu_tasks > 0 then begin
+  if t.cpu_n > 0 then begin
     let gen = t.cpu_gen in
     let rate = cpu_rate t in
-    let min_rem =
-      Hashtbl.fold
-        (fun _ task acc -> Float.min acc (Float.max 0. task.remaining))
-        t.cpu_tasks infinity
-    in
-    let at = t.vnow +. (min_rem /. rate) in
+    (* min over max(0, remaining), spelled out so that no float boxes *)
+    let min_rem = ref infinity in
+    for i = 0 to t.cpu_n - 1 do
+      let r = Float.Array.unsafe_get t.cpu_rem i in
+      let r = if r > 0. then r else 0. in
+      if r < !min_rem then min_rem := r
+    done;
+    let at = t.vnow +. (!min_rem /. rate) in
     t.cpu_tick_ev <- Some (schedule_cancellable t ~at (fun () -> cpu_tick t gen))
   end
 
 and cpu_tick t gen =
   if gen = t.cpu_gen then begin
     cpu_update t;
-    let done_ =
-      Hashtbl.fold
-        (fun pid task acc -> if task.remaining <= 1e-12 then (pid, task) :: acc else acc)
-        t.cpu_tasks []
-    in
-    let done_ = List.sort (fun (a, _) (b, _) -> Pid.compare a b) done_ in
-    List.iter (fun (pid, _) -> Hashtbl.remove t.cpu_tasks pid) done_;
+    let done_ = ref [] in
+    for i = 0 to t.cpu_n - 1 do
+      if Float.Array.unsafe_get t.cpu_rem i <= 1e-12 then
+        done_ := t.cpu_tasks.(i) :: !done_
+    done;
+    let done_ = List.sort (fun a b -> Pid.compare a.owner b.owner) !done_ in
+    List.iter (cpu_detach t) done_;
     cpu_reschedule t;
-    List.iter (fun (_, task) -> task.resume ()) done_
+    List.iter (fun task -> task.resume ()) done_
   end
 
-let cpu_add t pid task =
+(* Swap-remove: the last slot moves into the freed one. *)
+and cpu_detach t task =
+  let i = task.slot and last = t.cpu_n - 1 in
+  if task.ledger != no_ledger then task.ledger := Float.Array.get t.cpu_use i;
+  if i < last then begin
+    let moved = t.cpu_tasks.(last) in
+    t.cpu_tasks.(i) <- moved;
+    moved.slot <- i;
+    Float.Array.unsafe_set t.cpu_rem i (Float.Array.unsafe_get t.cpu_rem last);
+    Float.Array.unsafe_set t.cpu_use i (Float.Array.unsafe_get t.cpu_use last)
+  end;
+  t.cpu_tasks.(last) <- no_task;
+  t.cpu_n <- last;
+  task.slot <- -1
+
+let cpu_add t task ~work =
   cpu_update t;
-  Hashtbl.replace t.cpu_tasks pid task;
+  let i = t.cpu_n in
+  if i = Array.length t.cpu_tasks then begin
+    let cap = (2 * i) + 16 in
+    let grow a =
+      let b = Float.Array.create cap in
+      Float.Array.blit a 0 b 0 i;
+      b
+    in
+    let tasks = Array.make cap no_task in
+    Array.blit t.cpu_tasks 0 tasks 0 i;
+    t.cpu_tasks <- tasks;
+    t.cpu_rem <- grow t.cpu_rem;
+    t.cpu_use <- grow t.cpu_use
+  end;
+  t.cpu_tasks.(i) <- task;
+  task.slot <- i;
+  task.added <- t.cpu_added;
+  t.cpu_added <- t.cpu_added + 1;
+  Float.Array.unsafe_set t.cpu_rem i work;
+  (match Hashtbl.find_opt t.cpu_used task.owner with
+  | Some r ->
+    task.ledger <- r;
+    Float.Array.unsafe_set t.cpu_use i !r
+  | None ->
+    Float.Array.unsafe_set t.cpu_use i 0.;
+    t.cpu_uncharged <- task :: t.cpu_uncharged);
+  t.cpu_n <- i + 1;
+  if t.cpu_n > 2 * t.cpu_buckets then t.cpu_buckets <- 2 * t.cpu_buckets;
   cpu_reschedule t
 
-let cpu_remove t pid =
-  if Hashtbl.mem t.cpu_tasks pid then begin
+let cpu_remove t task =
+  if task.slot >= 0 then begin
     cpu_update t;
-    Hashtbl.remove t.cpu_tasks pid;
+    cpu_detach t task;
     cpu_reschedule t
   end
 
@@ -475,8 +607,8 @@ let rec finalize t pcb st =
   | Dead _ -> ()
   | _ ->
     pcb.state <- Dead st;
+    (match pcb.park with Some (Park_cpu { task; _ }) -> cpu_remove t task | _ -> ());
     pcb.park <- None;
-    cpu_remove t pcb.pid;
     if not pcb.preserve_space then Option.iter Address_space.release pcb.space;
     t.live <- t.live - 1;
     tr t (Trace.Exited { pid = pcb.pid; status = status_string st });
@@ -510,7 +642,14 @@ let rec finalize t pcb st =
         (* Completion is conditional on unresolved assumptions: defer the
            fate until they resolve (the process "cannot commit" yet). *)
         pcb.predicate <- p;
-        t.deferred <- pcb.pid :: t.deferred;
+        if t.settling then begin
+          pcb.defer_key <- max_int;
+          t.settle_new <- pcb :: t.settle_new
+        end
+        else begin
+          t.defer_front <- t.defer_front - 1;
+          pcb.defer_key <- t.defer_front
+        end;
         tr t (Trace.Fate_deferred pcb.pid))
     | Exited_failed _ | Crashed _ | Eliminated _ ->
       fire_res_watchers t pcb `Dead;
@@ -531,7 +670,16 @@ and record_fate t pid fate =
   | Some f when f = fate -> ()
   | _ ->
     Fate_registry.record t.reg pid fate;
-    tr t (Trace.Fate { pid; fate }));
+    tr t (Trace.Fate { pid; fate });
+    match Hashtbl.find_opt t.dependents pid with
+    | Some pcbs ->
+      Hashtbl.remove t.dependents pid;
+      List.iter
+        (fun pcb ->
+          if is_alive pcb then mark t pcb
+          else if pcb.defer_key <> 0 then mark_deferred t pcb)
+        pcbs
+    | None -> ());
   sweep t
 
 and kill t pid ~reason =
@@ -547,16 +695,39 @@ and kill t pid ~reason =
       | None ->
         (* Runnable (start scheduled): doom it; the start event checks. *)
         pcb.doomed <- Some reason
-      | Some (Park_recv { cancel; _ })
-      | Some (Park_ivar { cancel })
-      | Some (Park_cpu { cancel; _ }) ->
+      | Some (Park_recv { cancel; _ }) | Some (Park_ivar { cancel }) ->
         pcb.park <- None;
-        cpu_remove t pcb.pid;
+        cancel reason
+      | Some (Park_cpu { task; cancel }) ->
+        pcb.park <- None;
+        cpu_remove t task;
         cancel reason))
 
-(* Re-examine every live process's predicate after new knowledge arrives:
-   falsified worlds are eliminated, satisfied assumptions removed, parked
-   receivers rescanned, deferred fates settled. *)
+(* Re-examine process predicates after new knowledge arrives: falsified
+   worlds are eliminated, satisfied assumptions removed, parked receivers
+   rescanned, deferred fates settled.
+
+   A sweep runs in passes and repeats while a pass recorded another fate.
+   A pass visits live processes in pid order, then walks the deferred
+   fates in their order. A visit does something only for a live process
+   that is {e due}:
+   (a) its predicate names a decided pid — [dependents] maps every
+       undecided pid to the processes whose predicate gained it, and
+       [record_fate] marks them; a predicate gaining an already decided
+       pid is marked at once ([watch_predicate]);
+   (b) it is a receiver whose last mailbox scan deferred an acceptance:
+       every pass rescans it (traced, each rescan repeats the deferral);
+   (c) it holds entries of a bulk delivery not yet rescanned, during
+       which another world copy's wake-up may run a sweep.
+   Likewise a deferred fate settles only once its predicate names a
+   decided pid ([dependents] again). Every other visit or settle is a
+   no-op, so only due ones run, in a heap keyed by pid (or by settle
+   order): a pass costs O(due log due), not O(live).
+   A process marked during a pass joins it only if it existed when the
+   pass began and its pid is above the cursor — exactly the processes a
+   full snapshot-and-sort pass would still reach — and otherwise waits
+   for the next pass; the settle walk follows the same rule over its
+   order. *)
 and sweep t =
   if t.sweeping then t.sweep_again <- true
   else begin
@@ -564,57 +735,119 @@ and sweep t =
     let continue = ref true in
     while !continue do
       t.sweep_again <- false;
-      let live =
-        Hashtbl.fold (fun _ p acc -> if is_alive p then p :: acc else acc) t.procs []
-        |> List.sort (fun a b -> Pid.compare a.pid b.pid)
+      t.pass_born <- t.pcbs_made;
+      t.pass_cursor <- -1;
+      let due = t.visit_next in
+      t.visit_next <- [];
+      List.iter (push_visit t) due;
+      let rec visits () =
+        match Event_queue.pop t.visit_due with
+        | None -> ()
+        | Some (_, pcb) ->
+          t.pass_cursor <- Pid.to_int pcb.pid;
+          pcb.queued <- false;
+          if is_alive pcb then visit t pcb;
+          visits ()
       in
-      List.iter
-        (fun pcb ->
-          if is_alive pcb then begin
-            (match Fate_registry.normalize t.reg pcb.predicate with
-            | `Dead ->
-              tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
-              fire_res_watchers t pcb `Dead;
-              kill t pcb.pid ~reason:"dead world"
-            | `Live p ->
-              let changed = not (Predicate.equal p pcb.predicate) in
-              pcb.predicate <- p;
-              if changed && Predicate.is_certain p then
-                fire_res_watchers t pcb `Certain);
-            (* A parked receiver may now be able to accept a message whose
-               acceptance was deferred. *)
-            if is_alive pcb then rescan_parked t pcb
-          end)
-        live;
-      (* Settle deferred fates. *)
-      let deferred = t.deferred in
-      t.deferred <- [];
-      let still =
-        List.filter
-          (fun pid ->
-            match find_pcb t pid with
-            | None -> false
-            | Some pcb -> (
-              match Fate_registry.normalize t.reg pcb.predicate with
-              | `Dead ->
-                fire_res_watchers t pcb `Dead;
-                record_fate t pid Predicate.Failed;
-                false
-              | `Live p when Predicate.is_certain p ->
-                pcb.predicate <- p;
-                fire_res_watchers t pcb `Certain;
-                record_fate t pid Predicate.Completed;
-                false
-              | `Live p ->
-                pcb.predicate <- p;
-                true))
-          deferred
-      in
-      t.deferred <- still @ t.deferred;
+      visits ();
+      t.pass_cursor <- max_int;
+      settle t;
       continue := t.sweep_again
     done;
     t.sweeping <- false
   end
+
+and visit t pcb =
+  (match Fate_registry.normalize t.reg pcb.predicate with
+  | `Dead ->
+    tr t (Trace.Killed { pid = pcb.pid; reason = "dead world" });
+    fire_res_watchers t pcb `Dead;
+    kill t pcb.pid ~reason:"dead world"
+  | `Live p ->
+    let changed = not (Predicate.equal p pcb.predicate) in
+    pcb.predicate <- p;
+    if changed && Predicate.is_certain p then fire_res_watchers t pcb `Certain);
+  (* A parked receiver may now be able to accept a message whose
+     acceptance was deferred. *)
+  if is_alive pcb then rescan_parked t pcb
+
+(* Settle the due deferred fates, in deferred order. *)
+and settle t =
+  t.settling <- true;
+  t.settle_last <- t.defer_back;
+  t.settle_cursor <- min_int;
+  let due = t.settle_next in
+  t.settle_next <- [];
+  List.iter (push_settle t) due;
+  let rec settles () =
+    match Event_queue.pop t.settle_due with
+    | None -> ()
+    | Some (_, pcb) ->
+      t.settle_cursor <- pcb.defer_key;
+      pcb.defer_queued <- false;
+      (match Fate_registry.normalize t.reg pcb.predicate with
+      | `Dead ->
+        pcb.defer_key <- 0;
+        fire_res_watchers t pcb `Dead;
+        record_fate t pcb.pid Predicate.Failed
+      | `Live p when Predicate.is_certain p ->
+        pcb.defer_key <- 0;
+        pcb.predicate <- p;
+        fire_res_watchers t pcb `Certain;
+        record_fate t pcb.pid Predicate.Completed
+      | `Live p -> pcb.predicate <- p);
+      settles ()
+  in
+  settles ();
+  t.settling <- false;
+  (* Fates deferred during the walk follow every earlier one, newest
+     first among themselves. *)
+  List.iter
+    (fun pcb ->
+      t.defer_back <- t.defer_back + 1;
+      pcb.defer_key <- t.defer_back)
+    t.settle_new;
+  t.settle_new <- []
+
+and push_visit t pcb =
+  Event_queue.push t.visit_due ~time:(float_of_int (Pid.to_int pcb.pid)) pcb
+
+and push_settle t pcb =
+  Event_queue.push t.settle_due ~time:(float_of_int pcb.defer_key) pcb
+
+(* Make [pcb] due a sweep visit: in the current pass if that pass would
+   still reach it, else in the next one. *)
+and mark t pcb =
+  if not pcb.queued then begin
+    pcb.queued <- true;
+    if pcb.born < t.pass_born && Pid.to_int pcb.pid > t.pass_cursor then
+      push_visit t pcb
+    else t.visit_next <- pcb :: t.visit_next
+  end
+
+(* The same for a deferred fate: a fate deferred during the walk
+   ([defer_key] = max_int until the walk ends) waits for the next. *)
+and mark_deferred t pcb =
+  if not pcb.defer_queued then begin
+    pcb.defer_queued <- true;
+    if t.settling && pcb.defer_key <= t.settle_last && pcb.defer_key > t.settle_cursor
+    then push_settle t pcb
+    else t.settle_next <- pcb :: t.settle_next
+  end
+
+(* [pcb]'s predicate became [p], gaining every pid it names that [old]
+   does not. *)
+and watch_predicate t pcb ~old p =
+  let gain pid =
+    if not (Predicate.mem_completes old pid || Predicate.mem_fails old pid) then
+      match Fate_registry.fate t.reg pid with
+      | Some _ -> mark t pcb
+      | None ->
+        let l = Option.value (Hashtbl.find_opt t.dependents pid) ~default:[] in
+        Hashtbl.replace t.dependents pid (pcb :: l)
+  in
+  Pid.Set.iter gain (Predicate.must_complete p);
+  Pid.Set.iter gain (Predicate.must_fail p)
 
 (* ------------------------------------------------------------------ *)
 (* Message scanning: accept / ignore / split (section 3.4.2).          *)
@@ -746,7 +979,9 @@ and scan_mailbox t pcb ring tag cur blocked pos prefix : Message.t =
                 Mailbox.remove ring pos;
                 m
               | None ->
-                (* Keep waiting: do not overtake this sender (FIFO). *)
+                (* Keep waiting: do not overtake this sender (FIFO). The
+                   deferral makes the receiver due every sweep pass. *)
+                mark t pcb;
                 scan_mailbox t pcb ring tag cur
                   (Mailbox.sender_at ring pos :: blocked)
                   (pos + 1) false
@@ -835,6 +1070,7 @@ and adopt_sender_assumptions t pcb m s =
     else Predicate.assume_completes p m.Message.sender
   in
   pcb.predicate <- p;
+  watch_predicate t pcb ~old:pred_at_accept p;
   tr t (Trace.Accepted { dest = pcb.pid; msg = m; dest_pred = pred_at_accept })
 
 and rescan_parked t pcb =
@@ -876,9 +1112,15 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
       site = None;
       shard = 0;  (* settled after site assignment; clones inherit *)
       rng = Rng.stream ~seed:t.root_seed ~key:(Pid.to_int pid);
+      born = t.pcbs_made;
+      queued = false;
+      defer_key = 0;
+      defer_queued = false;
     }
   in
+  t.pcbs_made <- t.pcbs_made + 1;
   Hashtbl.replace t.procs pid pcb;
+  watch_predicate t pcb ~old:Predicate.empty predicate;
   pcb
 
 and assign_site t pcb ~explicit =
@@ -947,7 +1189,7 @@ and run_body t pcb =
                       let armed = ref true in
                       let task =
                         {
-                          remaining = dt;
+                          owner = pcb.pid;
                           resume =
                             (fun () ->
                               if !armed then begin
@@ -956,6 +1198,9 @@ and run_body t pcb =
                                 pcb.state <- Running;
                                 Effect.Deep.continue k ()
                               end);
+                          slot = -1;
+                          ledger = no_ledger;
+                          added = -1;
                         }
                       in
                       let cancel reason =
@@ -966,7 +1211,7 @@ and run_body t pcb =
                       in
                       pcb.state <- Suspended;
                       pcb.park <- Some (Park_cpu { task; cancel });
-                      cpu_add t pcb.pid task
+                      cpu_add t task ~work:dt
                     end
                 end)
           | E_now ->
@@ -1320,7 +1565,8 @@ and flush_channel t chan upto =
             (fun pid -> deliver_pos_to t outbox pos pid ~rescan:false)
             (List.rev pids);
           Mailbox.remove outbox pos
-        done))
+        done;
+        List.iter (fun pid -> Option.iter (mark_unscanned t) (find_pcb t pid)) pids))
     | exception Not_found -> drain_batch_to t outbox upto chan.ch_dest);
     rescan_worlds t chan.ch_dest
   end
@@ -1332,8 +1578,18 @@ and drain_batch_to t outbox upto pid =
   match Hashtbl.find t.procs pid with
   | exception Not_found -> Mailbox.drop_upto outbox ~upto:upto.u
   | pcb ->
-    if is_alive pcb then Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox
+    if is_alive pcb then begin
+      Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox;
+      mark_unscanned t pcb
+    end
     else Mailbox.drop_upto outbox ~upto:upto.u
+
+(* A bulk delivery left entries the receiver has not been rescanned over;
+   until [rescan_worlds] reaches it, another copy's wake-up may run a
+   sweep, whose pass must rescan it. Only a parked receiver can take
+   them then: any other process scans before it next parks. *)
+and mark_unscanned t pcb =
+  match pcb.park with Some (Park_recv _) when is_alive pcb -> mark t pcb | _ -> ()
 
 (* Move one outbox entry into a destination ring: framed entries are
    deep-copied into a destination frame (or materialised and spilled if
@@ -1651,10 +1907,19 @@ let receive_timeout ctx ?tag ~timeout () =
     end
     else Effect.perform (E_recv_timeout (tag, timeout))
 
+(* A process mid-[delay] has its running total in its task's slot. *)
 let cpu_time_of t pid =
-  match Hashtbl.find_opt t.cpu_used pid with Some r -> !r | None -> 0.
+  match find_pcb t pid with
+  | Some { park = Some (Park_cpu { task; _ }); _ } when task.slot >= 0 ->
+    Float.Array.get t.cpu_use task.slot
+  | _ -> ( match Hashtbl.find_opt t.cpu_used pid with Some r -> !r | None -> 0.)
 
-let total_cpu_time t = Hashtbl.fold (fun _ r acc -> acc +. !r) t.cpu_used 0.
+let total_cpu_time t =
+  for i = 0 to t.cpu_n - 1 do
+    let task = t.cpu_tasks.(i) in
+    if task.ledger != no_ledger then task.ledger := Float.Array.get t.cpu_use i
+  done;
+  Hashtbl.fold (fun _ r acc -> acc +. !r) t.cpu_used 0.
 
 let logical_of t pid = Option.map (fun p -> p.logical) (find_pcb t pid)
 let space_of t pid = Option.bind (find_pcb t pid) (fun p -> p.space)

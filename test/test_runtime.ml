@@ -657,6 +657,49 @@ let test_parked_pids_at_quiescence () =
     [ Pid.to_int stuck ]
     (List.map Pid.to_int (Engine.parked_pids eng))
 
+(* ---------------- scaling ---------------- *)
+
+(* Minor words allocated per engine event by a crowd-shaped engine:
+   [parents] processes each racing 4 fixed-cost alternatives under
+   [Cores 4], so about 4 x [parents] processes are live at once. *)
+let crowd_words_per_event parents =
+  let eng =
+    Engine.create ~cores:(Engine.Cores 4) ~model:Cost_model.att_3b2 ~seed:1
+      ~trace:false ()
+  in
+  let rng = Rng.create ~seed:parents in
+  for p = 0 to parents - 1 do
+    let costs =
+      List.init 4 (fun i ->
+          0.1 +. (0.12 *. float_of_int i) +. Rng.uniform_in rng ~lo:0. ~hi:0.03)
+    in
+    let space = Address_space.create (Engine.frame_store eng) (Engine.model eng) in
+    ignore
+      (Engine.spawn eng ~space ~cloneable:false
+         ~start_delay:(Rng.uniform_in rng ~lo:0. ~hi:0.5)
+         (fun ctx ->
+           ignore
+             (Concurrent.run ctx
+                (List.mapi (fun i cost -> Alternative.fixed ~cost ((p * 10) + i)) costs))))
+  done;
+  let before = Gc.minor_words () in
+  Engine.run eng;
+  let words = Gc.minor_words () -. before in
+  words /. float_of_int (Engine.stats_events_processed eng)
+
+(* Per-event engine work must not grow with the number of live
+   processes. Counted in allocated words rather than timed, so the
+   verdict is independent of the host: an O(live) sweep or scheduler
+   scan allocates in proportion to what it walks. *)
+let test_per_event_words_flat () =
+  let small = crowd_words_per_event 32 and large = crowd_words_per_event 256 in
+  let ratio = large /. small in
+  if ratio > 1.5 then
+    Alcotest.failf
+      "minor words per event grow with live processes: %.0f at 32 parents, \
+       %.0f at 256 (x%.2f > 1.5)"
+      small large ratio
+
 let () =
   Alcotest.run "runtime"
     [
@@ -737,5 +780,10 @@ let () =
             test_random_bits_logged_deterministic;
           Alcotest.test_case "parked pids at quiescence" `Quick
             test_parked_pids_at_quiescence;
+        ] );
+      ( "scaling",
+        [
+          Alcotest.test_case "words per event flat in live processes" `Quick
+            test_per_event_words_flat;
         ] );
     ]
