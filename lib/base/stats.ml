@@ -22,20 +22,28 @@ let max xs =
   check xs;
   Array.fold_left Float.max xs.(0) xs
 
-let percentile xs ~p =
+let percentiles xs ~ps =
   check xs;
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
+  Array.iter
+    (fun p ->
+      if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range")
+    ps;
   let sorted = Array.copy xs in
   Array.sort Float.compare sorted;
   let n = Array.length sorted in
-  if n = 1 then sorted.(0)
-  else begin
-    let rank = p /. 100. *. float_of_int (n - 1) in
-    let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
-    let frac = rank -. float_of_int lo in
-    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
-  end
+  Array.map
+    (fun p ->
+      if n = 1 then sorted.(0)
+      else begin
+        let rank = p /. 100. *. float_of_int (n - 1) in
+        let lo = int_of_float (Float.floor rank) in
+        let hi = Stdlib.min (lo + 1) (n - 1) in
+        let frac = rank -. float_of_int lo in
+        sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+      end)
+    ps
+
+let percentile xs ~p = (percentiles xs ~ps:[| p |]).(0)
 
 let median xs = percentile xs ~p:50.
 

@@ -17,6 +17,10 @@ val percentile : float array -> p:float -> float
 (** [percentile xs ~p] with [p] in [\[0,100\]], linear interpolation between
     order statistics. The input need not be sorted. *)
 
+val percentiles : float array -> ps:float array -> float array
+(** [percentiles xs ~ps] is [Array.map (fun p -> percentile xs ~p) ps],
+    bit for bit, from one sorted copy of [xs] instead of one per rank. *)
+
 val median : float array -> float
 
 val sum : float array -> float

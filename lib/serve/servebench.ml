@@ -31,7 +31,12 @@ let metrics_of (sv : Server.config) (r : Server.result) =
            | _ -> rs.Server.rs_latency :: acc)
          r.Server.responses [])
   in
-  let pct p = if latencies = [||] then 0. else Stats.percentile latencies ~p in
+  let p50, p99, p999 =
+    if latencies = [||] then (0., 0., 0.)
+    else
+      let q = Stats.percentiles latencies ~ps:[| 50.; 99.; 99.9 |] in
+      (q.(0), q.(1), q.(2))
+  in
   let makespan =
     Array.fold_left
       (fun acc (rs : Server.response) -> Float.max acc rs.Server.rs_completion)
@@ -57,9 +62,9 @@ let metrics_of (sv : Server.config) (r : Server.result) =
     m_goodput = (if makespan > 0. then float_of_int good /. makespan else 0.);
     m_breaker_opens = r.Server.breaker_opens;
     m_ladder_transitions = r.Server.ladder_transitions;
-    m_p50 = pct 50.;
-    m_p99 = pct 99.;
-    m_p999 = pct 99.9;
+    m_p50 = p50;
+    m_p99 = p99;
+    m_p999 = p999;
     m_makespan = makespan;
     m_rps = (if makespan > 0. then float_of_int executed /. makespan else 0.);
     m_batches = Array.length r.Server.batches;

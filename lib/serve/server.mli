@@ -159,5 +159,24 @@ val run : Workload.config -> config -> result
 (** Generate the workload and serve it to completion. *)
 
 val digest : result -> int64
-(** FNV-1a over every response's rendered fields — the replay fingerprint
-    [altserve --verify-determinism] and the jobs-1-vs-N check compare. *)
+(** The replay fingerprint [altserve --verify-determinism] and the
+    jobs-1-vs-N check compare: 64-bit FNV-1a (offset basis
+    [0xcbf29ce484222325], prime [0x100000001b3]) over the bytes of one
+    line per response, in [rq_id] order, with no separator between
+    lines. A line is the [Printf] format
+
+    {v %d|%d|%d|<verdict>|%.17g|%.17g|%.17g|%.17g v}
+
+    of [rs_id], [rs_tenant], [rs_batch], the verdict, [rs_completion],
+    [rs_latency], [rs_elapsed] and [rs_wasted], where the verdict is
+
+    - [served:<alt>:<value>];
+    - [degraded:L<level>:<alt>:<value>];
+    - [recovered:e<epochs>:<alt>:<value>];
+    - [failed:<reason>], the reason's bytes as they are;
+    - [rejected:<tokens>] for [Quota_exhausted];
+    - [rejected:overload:<backlog>] for [Overload],
+
+    ints in decimal with a leading [-] when negative, floats in C's
+    [%.17g] ([nan], [-nan], [inf], [-inf], [0], [-0] included). The bytes
+    are streamed into the hash; no line is built. *)
