@@ -101,6 +101,8 @@ let create cfg =
     peak_pressure = 0.;
   }
 
+let shed_rung = 3
+
 let threshold cfg = function
   | 0 -> cfg.dc_latch_at
   | 1 -> cfg.dc_seq_at
@@ -137,7 +139,7 @@ let decide t ~cls ~now ~work =
       match Hashtbl.find_opt t.levels cls with Some l -> l | None -> 0
     in
     let next =
-      if current < 3 && p >= threshold t.cfg current then current + 1
+      if current < shed_rung && p >= threshold t.cfg current then current + 1
       else if
         current > 0
         && p <= threshold t.cfg (current - 1) *. (1. -. t.cfg.dc_hysteresis)
@@ -149,10 +151,10 @@ let decide t ~cls ~now ~work =
       t.transitions <- t.transitions + 1
     end;
     let effective =
-      if t.cfg.dc_shed_only && next > 0 then 3 else next
+      if t.cfg.dc_shed_only && next > 0 then shed_rung else next
     in
     t.dec_arrivals <- t.dec_arrivals +. 1.;
-    if effective >= 3 then begin
+    if effective >= shed_rung then begin
       (* Sheds deposit nothing: refused work never occupies a lane. *)
       t.dec_sheds <- t.dec_sheds +. 1.;
       t.overload_sheds <- t.overload_sheds + 1;

@@ -48,6 +48,10 @@ val create : config -> t
     [0, 1), positive estimate and window ([Invalid_argument]
     otherwise). *)
 
+val shed_rung : int
+(** The bottom rung, 3: a class there sheds. Admissions are at rungs
+    [0 .. shed_rung - 1]. *)
+
 (** One admission decision. *)
 type decision =
   | Admit of { level : int }

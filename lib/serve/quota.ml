@@ -52,10 +52,23 @@ let admit t ~now =
    check/charge split is what keeps composite sheds pure — a request
    denied by its tenant bucket must not burn a token from the global
    one, or shed traffic would push every other tenant's refill schedule
-   around. *)
+   around. Plain recursion, not [List.for_all] over a closure: this runs
+   once per arrival and allocates nothing. *)
+let rec all_conforming buckets ~now =
+  match buckets with
+  | [] -> true
+  | t :: rest -> conforming t ~now && all_conforming rest ~now
+
+let rec charge_all buckets ~now =
+  match buckets with
+  | [] -> ()
+  | t :: rest ->
+      charge t ~now;
+      charge_all rest ~now
+
 let admit_all buckets ~now =
-  if List.for_all (fun t -> conforming t ~now) buckets then begin
-    List.iter (fun t -> charge t ~now) buckets;
+  if all_conforming buckets ~now then begin
+    charge_all buckets ~now;
     true
   end
   else false
