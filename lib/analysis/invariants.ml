@@ -213,6 +213,16 @@ let check_transparency rr =
            "source output differs from the sequential reference: [%s] vs [%s]"
            (String.concat "; " cl) (String.concat "; " sl))
   in
+  (* The checker owns the reference's space: release it once [k] has
+     compared it, whatever the verdict. *)
+  let with_reference ~indices k =
+    let outcome, sspace, ssource =
+      sequential_reference rr.scenario ~seed:rr.seed ~indices
+    in
+    let vs = k outcome sspace ssource in
+    Address_space.release sspace;
+    vs
+  in
   match rr.report.Concurrent.outcome with
   | Alt_block.Block_failed "timeout" | Alt_block.Block_failed "consensus unreachable"
     ->
@@ -230,25 +240,24 @@ let check_transparency rr =
     []
   | Alt_block.Block_failed _ -> (
     let indices = List.init rr.alts_count Fun.id in
-    match sequential_reference rr.scenario ~seed:rr.seed ~indices with
-    | Some (Alt_block.Selected { index; _ }), _, _ ->
+    with_reference ~indices @@ fun outcome sspace ssource ->
+    match outcome with
+    | Some (Alt_block.Selected { index; _ }) ->
       v
         (Printf.sprintf
            "the block failed although a sequential execution selects \
             alternative %d"
            index)
-    | Some (Alt_block.Block_failed _), sspace, ssource ->
-      compare_state sspace ssource
-    | None, _, _ -> v "sequential reference execution did not complete"
-  )
+    | Some (Alt_block.Block_failed _) -> compare_state sspace ssource
+    | None -> v "sequential reference execution did not complete")
   | Alt_block.Selected { index; value } when rr.report.Concurrent.degraded -> (
     (* The sequential fallback tried the alternatives in order, so the
        reference is a plain first-fit run over all of them — and the
        surviving state must still be indistinguishable from it. *)
     let indices = List.init rr.alts_count Fun.id in
-    match sequential_reference rr.scenario ~seed:rr.seed ~indices with
-    | Some (Alt_block.Selected { index = index'; value = value' }), sspace, ssource
-      ->
+    with_reference ~indices @@ fun outcome sspace ssource ->
+    match outcome with
+    | Some (Alt_block.Selected { index = index'; value = value' }) ->
       (if index' <> index || value' <> value then
          v
            (Printf.sprintf
@@ -257,17 +266,17 @@ let check_transparency rr =
               index value index' value')
        else [])
       @ compare_state sspace ssource
-    | Some (Alt_block.Block_failed _), _, _ ->
+    | Some (Alt_block.Block_failed _) ->
       v
         (Printf.sprintf
            "degraded block selected alternative %d but a sequential \
             execution fails"
            index)
-    | None, _, _ -> v "sequential reference execution did not complete")
+    | None -> v "sequential reference execution did not complete")
   | Alt_block.Selected { index; value } -> (
-    match sequential_reference rr.scenario ~seed:rr.seed ~indices:[ index ] with
-    | Some (Alt_block.Selected { index = 0; value = value' }), sspace, ssource
-      ->
+    with_reference ~indices:[ index ] @@ fun outcome sspace ssource ->
+    match outcome with
+    | Some (Alt_block.Selected { index = 0; value = value' }) ->
       (if value' <> value then
          v
            (Printf.sprintf
@@ -276,11 +285,11 @@ let check_transparency rr =
               index value value')
        else [])
       @ compare_state sspace ssource
-    | Some _, _, _ ->
+    | Some _ ->
       v
         (Printf.sprintf
            "winning alternative %d fails when re-executed alone" index)
-    | None, _, _ -> v "sequential reference execution did not complete")
+    | None -> v "sequential reference execution did not complete")
 
 (* ------------------------------------------------------------------ *)
 (* World soundness.                                                    *)
@@ -781,14 +790,20 @@ let policy_matrix =
      hangs off the [Engine.t] created per cell; effect handlers are
      per-fiber, not global.
    - [Frame_store] / [Address_space] / [Page_map] / [Checkpoint]:
-     reached only through the per-engine frame store.
+     reached only through the per-engine frame store. The exception is
+     [Frame_store]'s pool of free page buffers, a [Domain.DLS] global:
+     one per domain, never shared, holding only buffers no frame refers
+     to and handing each out zero-filled or fully copied over, while
+     frame ids come from the cell's own store. It cannot change a
+     result.
    - [Majority] / [Source]: spawn processes inside the cell's engine;
      their counters live in the values returned by [create].
    - [Rng]: generators are values; scenarios derive theirs from the
      cell seed. [Pid.Allocator] instances are per-engine.
-   - No module in alt_base, alt_pages, alt_predicate, alt_msg,
-     alt_runtime, alt_consensus, alt_sources, altexec or alt_analysis
-     defines top-level mutable state (checked: no module-level [ref],
+   - Apart from that pool, no module in alt_base, alt_pages,
+     alt_predicate, alt_msg, alt_runtime, alt_consensus, alt_sources,
+     altexec or alt_analysis defines top-level mutable state (checked:
+     no module-level [ref],
      [Hashtbl.create], [Buffer.create] or [mutable] record fields
      reachable from a toplevel binding).
 

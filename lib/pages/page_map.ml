@@ -434,7 +434,7 @@ let frame_id t ~vpage =
    counters and logs the analysis layer is about to read (the observer
    effect the old [read]-based implementation had). Frames are compared by
    physical identity first — only valid within one store — and byte-wise
-   otherwise, with unmapped pages standing for the shared zero page. *)
+   otherwise; a page mapped on one side only must be all zero. *)
 let snapshot_equal a b =
   check a;
   check b;
@@ -462,6 +462,6 @@ let snapshot_equal a b =
           (same_store && fa == fb)
           || Bytes.equal (Frame_store.data fa) (Frame_store.data fb)
         | Some f, None | None, Some f ->
-          Bytes.equal (Frame_store.data f) (Frame_store.zero_page a.store))
+          Bytes.for_all (fun c -> c = '\000') (Frame_store.data f))
       pages true
   end

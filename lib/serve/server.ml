@@ -570,6 +570,10 @@ let execute_batch (wl : Workload.config) (sv : config) (cb : closed_batch) =
          at-most-once scope so job n+1's win is not a "duplicate" of job
          n's. *)
       (match sanitizer with Some sz -> Sanitizer.next_block sz | None -> ());
+      (* The job created this space and nothing reads it past the report.
+         Releasing drops only this map's hold: a fork still held by a
+         blocked process keeps its own layers. *)
+      Address_space.release space;
       jr)
     cb.cb_jobs
   |> fun results ->

@@ -46,6 +46,77 @@ let test_frame_recycling_zeroes () =
     (Bytes.for_all (fun c -> c = '\000') (Frame_store.data g));
   check Alcotest.int "two allocations total" 2 (Frame_store.total_allocations s)
 
+(* Buffers freed in one store are reused by any store of the same page
+   size on the domain. The checks below take the buffer freed last (the
+   pool is a stack) and assert it really was recycled, so they never pass
+   vacuously on a fresh allocation. *)
+let dirty_and_free s =
+  let f = Frame_store.alloc s in
+  Bytes.fill (Frame_store.data f) 0 (Bytes.length (Frame_store.data f)) '\xff';
+  Frame_store.decref s f;
+  Frame_store.data f
+
+let test_pool_alloc_zeroed () =
+  let a = mk_store () and b = mk_store () in
+  ignore (Frame_store.alloc b);
+  let dirty = dirty_and_free a in
+  let g = Frame_store.alloc b in
+  check Alcotest.bool "buffer recycled" true (Frame_store.data g == dirty);
+  check Alcotest.bool "all zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Frame_store.data g));
+  check Alcotest.int "refcount 1" 1 (Frame_store.refcount g);
+  check Alcotest.int "b's next id" 1 (Frame_store.id g);
+  check Alcotest.int "a has nothing live" 0 (Frame_store.live_frames a);
+  check Alcotest.int "b has two live" 2 (Frame_store.live_frames b)
+
+let test_pool_copy_over_dirty () =
+  let a = mk_store () and b = mk_store () in
+  let src = Frame_store.alloc b in
+  Bytes.iteri
+    (fun i _ -> Bytes.set (Frame_store.data src) i (Char.chr (i land 0x7f)))
+    (Frame_store.data src);
+  let dirty = dirty_and_free a in
+  let g = Frame_store.alloc_copy b src in
+  check Alcotest.bool "buffer recycled" true (Frame_store.data g == dirty);
+  check Alcotest.bool "byte for byte" true
+    (Bytes.equal (Frame_store.data g) (Frame_store.data src))
+
+let test_pool_ids_per_store () =
+  let a = mk_store () and b = mk_store () in
+  let ids_a = ref [] and ids_b = ref [] in
+  let take s ids =
+    let f = Frame_store.alloc s in
+    ids := Frame_store.id f :: !ids;
+    f
+  in
+  for _ = 1 to 20 do
+    let fa = take a ids_a in
+    let fb = take b ids_b in
+    Frame_store.decref a fa;
+    let fb' = Frame_store.alloc_copy b fb in
+    ids_b := Frame_store.id fb' :: !ids_b;
+    Frame_store.decref b fb;
+    Frame_store.decref b fb'
+  done;
+  check Alcotest.(list int) "a dense" (List.init 20 Fun.id) (List.rev !ids_a);
+  check Alcotest.(list int) "b dense" (List.init 40 Fun.id) (List.rev !ids_b);
+  check Alcotest.int "a allocations" 20 (Frame_store.total_allocations a);
+  check Alcotest.int "b allocations" 40 (Frame_store.total_allocations b)
+
+let test_pool_release_space () =
+  let store = mk_store () in
+  let sp = Address_space.create store (Cost_model.uniform ~page_size:256 ()) in
+  Address_space.set_int sp ~addr:0 1;
+  Address_space.set_int sp ~addr:600 2;
+  let child = Address_space.fork sp in
+  Address_space.set_int child ~addr:0 3;
+  Address_space.set_int child ~addr:1000 4;
+  Address_space.release child;
+  Address_space.set_int sp ~addr:300 5;
+  check Alcotest.bool "pages live" true (Frame_store.live_frames store > 0);
+  Address_space.release sp;
+  check Alcotest.int "all frames back" 0 (Frame_store.live_frames store)
+
 (* ---------------- Page_map ---------------- *)
 
 let test_map_read_unmapped_zero () =
@@ -148,6 +219,27 @@ let test_map_snapshot_equal () =
   check Alcotest.bool "fork equal" true (Page_map.snapshot_equal a b);
   Page_map.write b ~vpage:3 ~off:0 ~src:(Bytes.of_string "w") ~copied;
   check Alcotest.bool "diverged" false (Page_map.snapshot_equal a b)
+
+(* An unmapped page stands for zero: equal to a mapped all-zero page,
+   different as soon as its first or last byte is not zero. *)
+let test_map_snapshot_zero_page () =
+  let ps = 256 in
+  let s = mk_store ~page_size:ps () in
+  let a = Page_map.create s and b = Page_map.create s in
+  let copied = ref false in
+  Page_map.write a ~vpage:2 ~off:5 ~src:(Bytes.make 1 '\000') ~copied;
+  let both msg expected =
+    check Alcotest.bool msg expected (Page_map.snapshot_equal a b);
+    check Alcotest.bool (msg ^ " (swapped)") expected
+      (Page_map.snapshot_equal b a)
+  in
+  both "mapped zero page" true;
+  Page_map.set_u8 a ~vpage:2 ~off:0 1 |> ignore;
+  both "first byte set" false;
+  Page_map.set_u8 a ~vpage:2 ~off:0 0 |> ignore;
+  both "cleared again" true;
+  Page_map.set_u8 a ~vpage:2 ~off:(ps - 1) 1 |> ignore;
+  both "last byte set" false
 
 (* ---------------- Address_space ---------------- *)
 
@@ -528,6 +620,78 @@ let prop_absorb_equals_child =
       Page_map.absorb ~parent ~child;
       Page_map.snapshot_equal parent reference)
 
+(* Recycling never aliases a live page: random writes, touches, forks,
+   absorbs and releases over maps drawn from two stores that share one
+   buffer pool, checked after every step against a shadow image of each
+   live map. A buffer pooled while some map still resolved it would be
+   zero-filled or copied over by a later allocation, and that map would
+   stop reading its shadow. *)
+let prop_recycling_never_aliases =
+  let ps = 64 and npages = 4 in
+  let op = QCheck.(pair (int_bound 5) (triple small_nat small_nat small_nat)) in
+  QCheck.Test.make ~name:"recycling never aliases a live page" ~count:300
+    QCheck.(list_of_size Gen.(int_range 1 80) op)
+    (fun ops ->
+      let stores = [| mk_store ~page_size:ps (); mk_store ~page_size:ps () |] in
+      (* Live maps: (store index, map, shadow image of all its pages). *)
+      let live = ref [] in
+      let pick k = List.nth !live (k mod List.length !live) in
+      let drop m = live := List.filter (fun (_, m', _) -> m' != m) !live in
+      let root k =
+        let si = k mod 2 in
+        live := (si, Page_map.create stores.(si), Bytes.make (ps * npages) '\000')
+                :: !live
+      in
+      let reads_shadow (_, m, shadow) =
+        let ok = ref true in
+        for vpage = 0 to npages - 1 do
+          let got = Page_map.read m ~vpage ~off:0 ~len:ps in
+          if not (Bytes.equal got (Bytes.sub shadow (vpage * ps) ps)) then
+            ok := false
+        done;
+        !ok
+      in
+      let step (kind, (x, y, z)) =
+        if !live = [] then root x;
+        match kind with
+        | 0 -> root x
+        | 1 | 2 ->
+          let _, m, shadow = pick x in
+          let vpage = y mod npages and off = z mod ps in
+          let len = 1 + (y / npages) mod (ps - off) in
+          let src = Bytes.make len (Char.chr (1 + (z land 0xfe))) in
+          let copied = ref false in
+          Page_map.write m ~vpage ~off ~src ~copied;
+          Bytes.blit src 0 shadow ((vpage * ps) + off) len
+        | 3 ->
+          let si, m, shadow = pick x in
+          live := (si, Page_map.fork m, Bytes.copy shadow) :: !live;
+          ignore (Page_map.touch_page m ~vpage:(y mod npages))
+        | 4 ->
+          let si, parent, _ = pick x and sj, child, cshadow = pick y in
+          if si = sj && parent != child then begin
+            Page_map.absorb ~parent ~child;
+            drop child;
+            drop parent;
+            live := (si, parent, cshadow) :: !live
+          end
+        | _ ->
+          let _, m, _ = pick x in
+          Page_map.release m;
+          drop m
+      in
+      let ok =
+        List.for_all
+          (fun o ->
+            step o;
+            List.for_all reads_shadow !live)
+          ops
+      in
+      List.iter (fun (_, m, _) -> Page_map.release m) !live;
+      ok
+      && Frame_store.live_frames stores.(0) = 0
+      && Frame_store.live_frames stores.(1) = 0)
+
 let () =
   Alcotest.run "pages"
     [
@@ -537,6 +701,10 @@ let () =
           Alcotest.test_case "copy is independent" `Quick test_frame_copy_independent;
           Alcotest.test_case "refcounting" `Quick test_frame_refcounting;
           Alcotest.test_case "recycling zeroes" `Quick test_frame_recycling_zeroes;
+          Alcotest.test_case "pool: alloc is zeroed" `Quick test_pool_alloc_zeroed;
+          Alcotest.test_case "pool: copy over dirty" `Quick test_pool_copy_over_dirty;
+          Alcotest.test_case "pool: ids per store" `Quick test_pool_ids_per_store;
+          Alcotest.test_case "pool: release frees all" `Quick test_pool_release_space;
         ] );
       ( "page_map",
         [
@@ -552,6 +720,8 @@ let () =
             test_snapshot_equal_is_stat_neutral;
           Alcotest.test_case "frame conservation over 100 schedules" `Quick
             test_frame_conservation_schedules;
+          Alcotest.test_case "snapshot_equal zero page" `Quick
+            test_map_snapshot_zero_page;
         ] );
       ( "address_space",
         [
@@ -583,5 +753,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_cow_equals_eager_copy; prop_no_frame_leaks; prop_absorb_equals_child ] );
+          [ prop_cow_equals_eager_copy; prop_no_frame_leaks; prop_absorb_equals_child;
+            prop_recycling_never_aliases ] );
     ]

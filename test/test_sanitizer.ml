@@ -256,6 +256,30 @@ let test_next_block_across_supervised_restart () =
   check Alcotest.bool "without next_block the second win leaks" true
     (has_class Report.At_most_once (Sanitizer.flags sz_leak))
 
+(* A sanitized sweep cell allocates little straight on the major heap
+   (major words minus promoted words): page buffers are recycled and the
+   transparency checker releases its sequential reference. What is left
+   is mostly the returned run's own space, which callers may inspect. *)
+let test_sweep_major_allocation () =
+  let cells = Invariants.matrix_cells ~seeds:1 () in
+  let sweep () =
+    Array.iter
+      (fun c ->
+        ignore
+          (Sys.opaque_identity
+             (Invariants.run_checked ~sanitize:true c.Invariants.cell_scenario
+                ~policy:c.Invariants.cell_policy ~seed:c.Invariants.cell_seed)))
+      cells
+  in
+  sweep ();
+  let _, p0, m0 = Gc.counters () in
+  sweep ();
+  let _, p1, m1 = Gc.counters () in
+  let w = (m1 -. m0 -. (p1 -. p0)) /. float_of_int (Array.length cells) in
+  check Alcotest.int "4 scenarios x 24 policies" 96 (Array.length cells);
+  if w > 1024. then
+    Alcotest.failf "%.1f major-heap words allocated directly per cell" w
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -275,5 +299,7 @@ let () =
           Alcotest.test_case "bounded state" `Quick test_bounded_state;
           Alcotest.test_case "clean runs unchanged" `Quick
             test_clean_run_parity;
+          Alcotest.test_case "at most 1024 major words per cell" `Quick
+            test_sweep_major_allocation;
         ] );
     ]

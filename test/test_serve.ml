@@ -490,6 +490,26 @@ let test_digest_allocation () =
     Alcotest.failf "minor words per response above 32: %s"
       (String.concat "; " over)
 
+(* Page buffers are one word over the minor heap's limit, so every
+   fresh page goes straight to the major heap. With frames recycled and
+   each job's space released, a warmed default run allocates almost
+   nothing there directly: major words minus promoted words. *)
+let direct_major_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, p0, m0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let _, p1, m1 = Gc.counters () in
+  m1 -. m0 -. (p1 -. p0)
+
+let test_run_major_allocation () =
+  let wl = Workload.default and sv = { Server.default with Server.sv_jobs = 1 } in
+  let w =
+    direct_major_words (fun () -> Server.run wl sv)
+    /. float_of_int wl.Workload.wl_requests
+  in
+  if w > 32. then
+    Alcotest.failf "%.1f major-heap words allocated directly per request" w
+
 (* ------------------------------------------------------------------ *)
 (* Batch formation.
 
@@ -715,6 +735,8 @@ let () =
             test_sanitized_run_stays_clean;
           Alcotest.test_case "bench record satisfies its schema" `Quick
             test_bench_record_schema;
+          Alcotest.test_case "at most 32 major words per request" `Quick
+            test_run_major_allocation;
         ] );
       ( "digest",
         [
