@@ -244,6 +244,16 @@ let check rr =
           "the surviving address space differs from a sequential execution \
            of the winning alternative alone"
   in
+  (* The check owns the reference's space: release it once [k] has
+     looked at it, whatever the verdict, as the transparency checker
+     does. *)
+  let with_reference ~indices k =
+    let outcome, sspace, _ =
+      Invariants.sequential_reference c.sf_scenario ~seed:c.sf_seed ~indices
+    in
+    k outcome sspace;
+    Address_space.release sspace
+  in
   (match rep.Concurrent.outcome with
   | Alt_block.Selected { index; value } when not rep.Concurrent.degraded -> (
     if c.sf_campaign.sg_majority_crash then
@@ -274,11 +284,9 @@ let check rr =
       viol Report.At_most_once
         (Printf.sprintf "%d Sync_won events in the deciding epoch"
            (List.length ws)));
-    match
-      Invariants.sequential_reference c.sf_scenario ~seed:c.sf_seed
-        ~indices:[ index ]
-    with
-    | Some (Alt_block.Selected { index = 0; value = value' }), sspace, _ ->
+    with_reference ~indices:[ index ] @@ fun outcome sspace ->
+    match outcome with
+    | Some (Alt_block.Selected { index = 0; value = value' }) ->
       if value' <> value then
         viol Report.Transparency
           (Printf.sprintf
@@ -286,11 +294,11 @@ let check rr =
               sequentially"
              index value value');
       compare_space sspace
-    | Some _, _, _ ->
+    | Some _ ->
       viol Report.Transparency
         (Printf.sprintf "winning alternative %d fails when re-executed alone"
            index)
-    | None, _, _ ->
+    | None ->
       viol Report.Transparency "sequential reference execution did not \
                                 complete")
   | Alt_block.Selected { index; value } -> (
@@ -304,11 +312,9 @@ let check rr =
            "epoch %d degraded to sequential execution yet recorded Sync_won"
            sr.Concurrent.sr_epoch);
     let indices = List.init rr.sf_alts_count Fun.id in
-    match
-      Invariants.sequential_reference c.sf_scenario ~seed:c.sf_seed ~indices
-    with
-    | Some (Alt_block.Selected { index = index'; value = value' }), sspace, _
-      ->
+    with_reference ~indices @@ fun outcome sspace ->
+    match outcome with
+    | Some (Alt_block.Selected { index = index'; value = value' }) ->
       if index' <> index || value' <> value then
         viol Report.Transparency
           (Printf.sprintf
@@ -316,13 +322,13 @@ let check rr =
               sequential execution selects %d (value %d)"
              index value index' value');
       compare_space sspace
-    | Some (Alt_block.Block_failed _), _, _ ->
+    | Some (Alt_block.Block_failed _) ->
       viol Report.Transparency
         (Printf.sprintf
            "degraded block selected alternative %d but a sequential \
             execution fails"
            index)
-    | None, _, _ ->
+    | None ->
       viol Report.Transparency "sequential reference execution did not \
                                 complete")
   | Alt_block.Block_failed _ ->

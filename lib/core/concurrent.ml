@@ -105,14 +105,11 @@ type 'a latch_value =
    assumptions, assumes it completes, and assumes its siblings do not
    (section 3.3: "sibling rivalry taken to its extreme"). *)
 let child_predicate parent_pred pids i =
-  let p = Predicate.assume_completes parent_pred pids.(i) in
-  let n = Array.length pids in
-  let rec add p j =
-    if j >= n then p
-    else if j = i then add p (j + 1)
-    else add (Predicate.assume_fails p pids.(j)) (j + 1)
-  in
-  add p 0
+  let siblings = ref [] in
+  for j = Array.length pids - 1 downto 0 do
+    if j <> i then siblings := pids.(j) :: !siblings
+  done;
+  Predicate.extend parent_pred ~must_complete:[ pids.(i) ] ~must_fail:!siblings
 
 let run ctx ?(policy = default_policy) ?consensus:borrowed ?(epoch = 0)
     ?(exclusive = false) ?(deadline = infinity) alts =

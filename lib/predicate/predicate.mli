@@ -35,6 +35,13 @@ val assume_fails : t -> Pid.t -> t
 (** Add the assumption that [pid] does not complete. Raises on the converse
     conflict. *)
 
+val extend : t -> must_complete:Pid.t list -> must_fail:Pid.t list -> t
+(** [extend t ~must_complete ~must_fail] adds every listed assumption to
+    [t] with a single intern. The result equals the chain of
+    {!assume_completes} and {!assume_fails} calls, which would intern each
+    intermediate predicate. Raises [Invalid_argument] if the result would
+    assume some pid both completes and fails. *)
+
 val mem_completes : t -> Pid.t -> bool
 val mem_fails : t -> Pid.t -> bool
 
@@ -75,6 +82,12 @@ type resolution =
 
 val resolve : t -> pid:Pid.t -> fate:fate -> resolution
 (** Incorporate the knowledge that [pid] met [fate]. *)
+
+val resolve_all : t -> fate_of:(Pid.t -> fate option) -> resolution
+(** Incorporate every fate [fate_of] knows for the pids [t] names, with a
+    single intern of the residue. Equal to folding {!resolve} over those
+    pids in any order: [Falsified] if any assumption was wrong,
+    [Unchanged] if no named pid is decided. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [{+P1 +P2 -P3}] ([+] must complete, [-] must fail). *)

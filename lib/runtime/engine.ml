@@ -171,7 +171,9 @@ and t = {
          sender shard's local execution counter instead of the
          engine-global one — the broken variant the regression test
          pins (see [outbox_push]). *)
-  procs : (Pid.t, pcb) Hashtbl.t;
+  mutable procs : pcb option array;
+      (* indexed by pid: spawns, [fresh_pids] and world clones all draw
+         from [alloc], so pids are dense per engine; grown by doubling *)
   worlds : (Pid.t, Pid.t list ref) Hashtbl.t;  (* logical pid -> copies *)
   alloc : Pid.Allocator.t;
   reg : Fate_registry.t;
@@ -188,7 +190,9 @@ and t = {
   mutable cpu_added : int;
   mutable cpu_buckets : int;
   cpu_used : (Pid.t, float ref) Hashtbl.t;
-  cpu_last : floatarray;  (* [0] = time of the last CPU update *)
+  cpu_last : floatarray;
+      (* [0] = time of the last CPU update; [1] = the minimum over the
+         live slots of [max 0 remaining], infinity with none *)
   mutable cpu_gen : int;
   mutable cpu_tick_ev : event option;
   channels : (Pid.t * Pid.t, channel) Hashtbl.t;
@@ -263,7 +267,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     site_count = 0;
     root_seed = seed;
     debug_shard_local_epoch;
-    procs = Hashtbl.create 64;
+    procs = Array.make 64 None;
     worlds = Hashtbl.create 64;
     alloc = Pid.Allocator.create ();
     reg = Fate_registry.create ();
@@ -279,7 +283,7 @@ let create ?(cores = Infinite) ?(model = Cost_model.uniform ()) ?(seed = 42)
     cpu_added = 0;
     cpu_buckets = 16;
     cpu_used = Hashtbl.create 64;
-    cpu_last = Float.Array.make 1 0.;
+    cpu_last = Float.Array.init 2 (fun i -> if i = 0 then 0. else infinity);
     cpu_gen = 0;
     cpu_tick_ev = None;
     channels = Hashtbl.create 64;
@@ -386,8 +390,10 @@ let proc_state_string = function
 (* ------------------------------------------------------------------ *)
 (* CPU: egalitarian processor sharing over [cores] processors.         *)
 
-(* A CPU event does O(live tasks) float arithmetic over the flat arrays
-   and nothing else per task: no table walk, no lookup, no allocation. *)
+(* A CPU event makes one pass of float arithmetic over the live tasks'
+   flat arrays and nothing else per task: no table walk, no lookup, no
+   allocation. The pass also refreshes the cached minimum of the
+   remaining work, which is all a reschedule reads. *)
 
 let cpu_rate t =
   let n = t.cpu_n in
@@ -420,15 +426,35 @@ let open_ledgers t =
          | c -> c)
        fresh)
 
+(* [max 0 r], spelled out so that no float boxes: a NaN counts as 0. *)
+let[@inline] clamp r = if r > 0. then r else 0.
+
+let cpu_rescan_min t =
+  let m = ref infinity in
+  for i = 0 to t.cpu_n - 1 do
+    let r = clamp (Float.Array.unsafe_get t.cpu_rem i) in
+    if r < !m then m := r
+  done;
+  Float.Array.unsafe_set t.cpu_last 1 !m
+
+(* Slot [i]'s share of an update by [d] = elapsed * rate: remaining
+   work first, then the owner's CPU used. Returns the new remaining. *)
+let[@inline] cpu_step t i d =
+  let r = Float.Array.unsafe_get t.cpu_rem i -. d in
+  Float.Array.unsafe_set t.cpu_rem i r;
+  Float.Array.unsafe_set t.cpu_use i (Float.Array.unsafe_get t.cpu_use i +. d);
+  r
+
 let cpu_update t =
   let elapsed = t.vnow -. Float.Array.unsafe_get t.cpu_last 0 in
   if elapsed > 0. then begin
-    let rate = cpu_rate t in
-    let rem = t.cpu_rem and use = t.cpu_use in
+    let d = elapsed *. cpu_rate t in
+    let m = ref infinity in
     for i = 0 to t.cpu_n - 1 do
-      Float.Array.unsafe_set rem i (Float.Array.unsafe_get rem i -. (elapsed *. rate));
-      Float.Array.unsafe_set use i (Float.Array.unsafe_get use i +. (elapsed *. rate))
+      let r = clamp (cpu_step t i d) in
+      if r < !m then m := r
     done;
+    Float.Array.unsafe_set t.cpu_last 1 !m;
     if t.cpu_uncharged <> [] then open_ledgers t
   end;
   Float.Array.unsafe_set t.cpu_last 0 t.vnow
@@ -443,25 +469,31 @@ let rec cpu_reschedule t =
   if t.cpu_n > 0 then begin
     let gen = t.cpu_gen in
     let rate = cpu_rate t in
-    (* min over max(0, remaining), spelled out so that no float boxes *)
-    let min_rem = ref infinity in
-    for i = 0 to t.cpu_n - 1 do
-      let r = Float.Array.unsafe_get t.cpu_rem i in
-      let r = if r > 0. then r else 0. in
-      if r < !min_rem then min_rem := r
-    done;
-    let at = t.vnow +. (!min_rem /. rate) in
+    let at = t.vnow +. (Float.Array.unsafe_get t.cpu_last 1 /. rate) in
     t.cpu_tick_ev <- Some (schedule_cancellable t ~at (fun () -> cpu_tick t gen))
   end
 
+(* [cpu_update] fused with the scan for finished tasks: one pass updates
+   every slot, collects the tasks whose work is done and takes the
+   minimum over the rest, which the swap-removes below leave in place. *)
 and cpu_tick t gen =
   if gen = t.cpu_gen then begin
-    cpu_update t;
+    let elapsed = t.vnow -. Float.Array.unsafe_get t.cpu_last 0 in
+    let step = elapsed > 0. in
+    let d = elapsed *. cpu_rate t in
+    let m = ref infinity in
     let done_ = ref [] in
     for i = 0 to t.cpu_n - 1 do
-      if Float.Array.unsafe_get t.cpu_rem i <= 1e-12 then
-        done_ := t.cpu_tasks.(i) :: !done_
+      let r = if step then cpu_step t i d else Float.Array.unsafe_get t.cpu_rem i in
+      if r <= 1e-12 then done_ := t.cpu_tasks.(i) :: !done_
+      else begin
+        let r = clamp r in
+        if r < !m then m := r
+      end
     done;
+    if step && t.cpu_uncharged <> [] then open_ledgers t;
+    Float.Array.unsafe_set t.cpu_last 0 t.vnow;
+    Float.Array.unsafe_set t.cpu_last 1 !m;
     let done_ = List.sort (fun a b -> Pid.compare a.owner b.owner) !done_ in
     List.iter (cpu_detach t) done_;
     cpu_reschedule t;
@@ -504,6 +536,8 @@ let cpu_add t task ~work =
   task.added <- t.cpu_added;
   t.cpu_added <- t.cpu_added + 1;
   Float.Array.unsafe_set t.cpu_rem i work;
+  let w = clamp work in
+  if w < Float.Array.unsafe_get t.cpu_last 1 then Float.Array.unsafe_set t.cpu_last 1 w;
   (match Hashtbl.find_opt t.cpu_used task.owner with
   | Some r ->
     task.ledger <- r;
@@ -515,17 +549,22 @@ let cpu_add t task ~work =
   if t.cpu_n > 2 * t.cpu_buckets then t.cpu_buckets <- 2 * t.cpu_buckets;
   cpu_reschedule t
 
+(* Only a task that held the minimum makes the cached value stale. *)
 let cpu_remove t task =
   if task.slot >= 0 then begin
     cpu_update t;
+    let r = clamp (Float.Array.unsafe_get t.cpu_rem task.slot) in
     cpu_detach t task;
+    if r <= Float.Array.unsafe_get t.cpu_last 1 then cpu_rescan_min t;
     cpu_reschedule t
   end
 
 (* ------------------------------------------------------------------ *)
 (* Process table helpers.                                              *)
 
-let find_pcb t pid = Hashtbl.find_opt t.procs pid
+let find_pcb t pid =
+  let i = Pid.to_int pid in
+  if i >= 0 && i < Array.length t.procs then Array.unsafe_get t.procs i else None
 
 (* Partition along site failure domains: every site gets a first-seen
    index (assignment order is part of the deterministic execution, so
@@ -560,7 +599,7 @@ let shard_of t pid =
 let shard_of_dest t dest =
   if t.nshards = 1 then 0
   else
-    match Hashtbl.find_opt t.procs dest with
+    match find_pcb t dest with
     | Some pcb -> pcb.shard
     | None -> t.cur_shard
 
@@ -577,11 +616,17 @@ let predicate_of t pid = Option.map (fun p -> p.predicate) (find_pcb t pid)
 
 let live_count t = t.live
 
-let parked_pids t =
-  Hashtbl.fold
-    (fun pid pcb acc -> if is_alive pcb && pcb.park <> None then pid :: acc else acc)
-    t.procs []
-  |> List.sort Pid.compare
+(* The pids whose pcb satisfies [keep], in pid order. *)
+let pids_where t keep =
+  let acc = ref [] in
+  for i = Array.length t.procs - 1 downto 0 do
+    match Array.unsafe_get t.procs i with
+    | Some pcb when keep pcb -> acc := pcb.pid :: !acc
+    | _ -> ()
+  done;
+  !acc
+
+let parked_pids t = pids_where t (fun pcb -> is_alive pcb && pcb.park <> None)
 
 let log_push pcb e =
   if pcb.cloneable && pcb.replay = [] then pcb.log <- e :: pcb.log
@@ -1085,8 +1130,9 @@ and rescan_parked t pcb =
 
 and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
     ~oblivious ~body =
-  if Hashtbl.mem t.procs pid then
-    invalid_arg "Engine.spawn: pid already in use";
+  let i = Pid.to_int pid in
+  if i < 0 then invalid_arg "Engine.spawn: negative pid";
+  if find_pcb t pid != None then invalid_arg "Engine.spawn: pid already in use";
   let pcb =
     {
       pid;
@@ -1119,7 +1165,13 @@ and make_pcb t ~pid ~logical ~parent ~name ~predicate ~space ~cloneable
     }
   in
   t.pcbs_made <- t.pcbs_made + 1;
-  Hashtbl.replace t.procs pid pcb;
+  let n = Array.length t.procs in
+  if i >= n then begin
+    let procs = Array.make (max (2 * n) (i + 1)) None in
+    Array.blit t.procs 0 procs 0 n;
+    t.procs <- procs
+  end;
+  t.procs.(i) <- Some pcb;
   watch_predicate t pcb ~old:Predicate.empty predicate;
   pcb
 
@@ -1575,9 +1627,9 @@ and flush_channel t chan upto =
    the whole batch (liveness cannot change mid-drain — no user code runs
    until the rescan). *)
 and drain_batch_to t outbox upto pid =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> Mailbox.drop_upto outbox ~upto:upto.u
-  | pcb ->
+  match find_pcb t pid with
+  | None -> Mailbox.drop_upto outbox ~upto:upto.u
+  | Some pcb ->
     if is_alive pcb then begin
       Mailbox.transfer_upto outbox ~upto:upto.u pcb.mailbox;
       mark_unscanned t pcb
@@ -1616,9 +1668,9 @@ and deliver_pos t outbox pos ~dest ~rescan =
   | exception Not_found -> deliver_pos_to t outbox pos dest ~rescan
 
 and deliver_pos_to t outbox pos pid ~rescan =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> ()
-  | pcb ->
+  match find_pcb t pid with
+  | None -> ()
+  | Some pcb ->
     if is_alive pcb then begin
       let deliverable =
         (* Checked at delivery time, per destination copy: a site crash or
@@ -1645,9 +1697,9 @@ and rescan_worlds t dest =
   | exception Not_found -> rescan_world_copy t dest
 
 and rescan_world_copy t pid =
-  match Hashtbl.find t.procs pid with
-  | exception Not_found -> ()
-  | pcb -> if is_alive pcb then rescan_parked t pcb
+  match find_pcb t pid with
+  | None -> ()
+  | Some pcb -> if is_alive pcb then rescan_parked t pcb
 
 (* Direct delivery for messages that bypass the outbox (delayed/reordered
    fault injections): already materialised, so the message value is shared
@@ -1927,13 +1979,8 @@ let name_of t pid = Option.map (fun p -> p.name) (find_pcb t pid)
 let site_of t pid = Option.bind (find_pcb t pid) (fun p -> p.site)
 
 let children_of t pid =
-  Hashtbl.fold
-    (fun cpid pcb acc ->
-      match pcb.parent with
-      | Some p when Pid.equal p pid -> cpid :: acc
-      | _ -> acc)
-    t.procs []
-  |> List.sort Pid.compare
+  pids_where t (fun pcb ->
+      match pcb.parent with Some p -> Pid.equal p pid | None -> false)
 
 let certain_of t pid =
   match Fate_registry.fate t.reg pid with

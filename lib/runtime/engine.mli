@@ -126,7 +126,9 @@ val spawn :
     requests explicit placement on a simulated site; it is passed to the
     site hook (see {!set_site_hook}) as the [explicit] argument, or adopted
     directly when no hook is installed. The engine does not run anything
-    until {!run}. *)
+    until {!run}. Raises [Invalid_argument] if [pid] is negative or
+    already in use. The process table is indexed by pid, so an explicit
+    [pid] far beyond those handed out grows it to that size. *)
 
 val on_exit : t -> Pid.t -> (exit_status -> unit) -> unit
 (** Register a watcher called (at the process's exit time) when the pid
@@ -162,7 +164,8 @@ val run_for : t -> float -> unit
     queued). *)
 
 val parked_pids : t -> Pid.t list
-(** Processes blocked in {!receive} or {!Ivar.read} right now. *)
+(** Processes blocked in {!receive} or {!Ivar.read} right now, sorted by
+    pid. *)
 
 val live_count : t -> int
 

@@ -199,6 +199,188 @@ let prop_resolve_shrinks =
       | Predicate.Falsified -> true
       | Predicate.Simplified q' -> Predicate.cardinal q' = Predicate.cardinal q - 1)
 
+(* ---------------- interning ---------------- *)
+
+(* A predicate as plain data: for each of [universe] pids, whether it is
+   assumed to complete (1), to fail (2), or not named (0). *)
+let universe = 24
+
+let gen_sides = QCheck.Gen.(array_size (return universe) (int_range 0 2))
+
+let pids_with sides v =
+  List.filter_map
+    (fun i -> if sides.(i) = v then Some (p i) else None)
+    (List.init universe Fun.id)
+
+let of_sides sides =
+  Predicate.make ~must_complete:(pids_with sides 1) ~must_fail:(pids_with sides 2)
+
+let arb_sides =
+  QCheck.make
+    ~print:(fun a -> String.concat "" (Array.to_list (Array.map string_of_int a)))
+    gen_sides
+
+(* Every construction route of one pid-set pair: [make], a shuffled chain
+   of [assume_*], [extend] in one shot and from a prefix, [conjoin] of two
+   halves, [resolve] of one extra assumption, and [Fate_registry.normalize]
+   of several. *)
+let routes sides shuffle =
+  let c = pids_with sides 1 and f = pids_with sides 2 in
+  let steps =
+    List.map (fun x -> `C x) c @ List.map (fun x -> `F x) f
+    |> List.mapi (fun i s -> (shuffle.(i mod Array.length shuffle), i, s))
+    |> List.sort compare
+    |> List.map (fun (_, _, s) -> s)
+  in
+  let chain =
+    List.fold_left
+      (fun q -> function
+        | `C x -> Predicate.assume_completes q x
+        | `F x -> Predicate.assume_fails q x)
+      Predicate.empty steps
+  in
+  let half l = List.filteri (fun i _ -> i mod 2 = 0) l in
+  let rest l = List.filteri (fun i _ -> i mod 2 = 1) l in
+  let prefix = Predicate.make ~must_complete:(half c) ~must_fail:(rest f) in
+  let extra = p (universe + 1) and extra2 = p (universe + 2) in
+  let resolved =
+    match
+      Predicate.resolve
+        (Predicate.assume_completes (of_sides sides) extra)
+        ~pid:extra ~fate:Predicate.Completed
+    with
+    | Predicate.Simplified q -> q
+    | _ -> Alcotest.fail "expected Simplified"
+  in
+  let normalized =
+    let reg = Fate_registry.create () in
+    Fate_registry.record reg extra Predicate.Completed;
+    Fate_registry.record reg extra2 Predicate.Failed;
+    match
+      Fate_registry.normalize reg
+        (Predicate.extend (of_sides sides) ~must_complete:[ extra ]
+           ~must_fail:[ extra2 ])
+    with
+    | `Live q -> q
+    | `Dead -> Alcotest.fail "expected Live"
+  in
+  [
+    of_sides sides;
+    chain;
+    Predicate.extend Predicate.empty ~must_complete:c ~must_fail:f;
+    Predicate.extend prefix ~must_complete:(rest c) ~must_fail:(half f);
+    Predicate.conjoin prefix
+      (Predicate.make ~must_complete:(rest c) ~must_fail:(half f));
+    resolved;
+    normalized;
+  ]
+
+let prop_routes_share_one_box =
+  QCheck.Test.make ~name:"every route gives one box"
+    ~count:300
+    (QCheck.pair arb_sides (QCheck.make QCheck.Gen.(array_size (return 8) nat)))
+    (fun (sides, shuffle) ->
+      match routes sides shuffle with
+      | first :: others -> List.for_all (fun q -> q == first) others
+      | [] -> false)
+
+let prop_box_iff_same_sets =
+  QCheck.Test.make ~name:"one box iff equal sets"
+    ~count:500 (QCheck.pair arb_sides arb_sides) (fun (a, b) ->
+      let qa = of_sides a and qb = of_sides b in
+      let same_sets =
+        Pid.Set.equal (Predicate.must_complete qa) (Predicate.must_complete qb)
+        && Pid.Set.equal (Predicate.must_fail qa) (Predicate.must_fail qb)
+      in
+      (qa == qb) = same_sets && Predicate.equal qa qb = same_sets)
+
+(* A registry as plain data, most pids undecided (0), so that both
+   verdicts are common: a pid is recorded Completed (1) or Failed (2). *)
+let arb_fates =
+  QCheck.make
+    ~print:(fun a -> String.concat "" (Array.to_list (Array.map string_of_int a)))
+    QCheck.Gen.(
+      array_size (return universe)
+        (frequency [ (6, return 0); (1, return 1); (1, return 2) ]))
+
+(* The per-pid [resolve] fold [Fate_registry.normalize] used to run, kept
+   as the reference for the one-intern version. *)
+let normalize_by_fold reg pred =
+  if Predicate.is_certain pred || Fate_registry.decided reg = 0 then `Live pred
+  else
+    let step pid acc =
+      match acc with
+      | `Dead -> `Dead
+      | `Live q -> (
+        match Fate_registry.fate reg pid with
+        | None -> `Live q
+        | Some f -> (
+          match Predicate.resolve q ~pid ~fate:f with
+          | Predicate.Unchanged -> `Live q
+          | Predicate.Simplified q' -> `Live q'
+          | Predicate.Falsified -> `Dead))
+    in
+    Pid.Set.fold step
+      (Pid.Set.union (Predicate.must_complete pred) (Predicate.must_fail pred))
+      (`Live pred)
+
+let prop_normalize_matches_fold =
+  QCheck.Test.make ~name:"normalize = per-pid resolve fold" ~count:1000
+    (QCheck.pair arb_sides arb_fates) (fun (sides, fates) ->
+      let reg = Fate_registry.create () in
+      Array.iteri
+        (fun i v ->
+          if v = 1 then Fate_registry.record reg (p i) Predicate.Completed
+          else if v = 2 then Fate_registry.record reg (p i) Predicate.Failed)
+        fates;
+      let q = of_sides sides in
+      match (Fate_registry.normalize reg q, normalize_by_fold reg q) with
+      | `Dead, `Dead -> true
+      | `Live a, `Live b -> a == b
+      | _ -> false)
+
+(* Both verdicts, pinned on a fixed case. *)
+let test_normalize_both_verdicts () =
+  let reg = Fate_registry.create () in
+  Fate_registry.record reg (p 1) Predicate.Completed;
+  Fate_registry.record reg (p 2) Predicate.Failed;
+  let dead = pred [ 2; 3 ] [ 4 ] and live = pred [ 1; 3 ] [ 2; 4 ] in
+  check Alcotest.bool "dead by fold" true (normalize_by_fold reg dead = `Dead);
+  check Alcotest.bool "dead" true (Fate_registry.normalize reg dead = `Dead);
+  match (Fate_registry.normalize reg live, normalize_by_fold reg live) with
+  | `Live a, `Live b ->
+    check Alcotest.bool "same residue" true (a == b && a == pred [ 3 ] [ 4 ])
+  | _ -> Alcotest.fail "expected Live"
+
+(* The intern table grows by doubling as it fills; thousands of fresh
+   predicates force several growths, and every one interned before them
+   must still be found after. *)
+let test_found_after_growth () =
+  let fresh i = pred [ 100_000 + i ] [ 200_000 + (i / 3) ] in
+  let first = List.init 64 fresh in
+  let later = List.init 20_000 (fun i -> fresh (64 + i)) in
+  List.iteri
+    (fun i q ->
+      if not (fresh i == q) then Alcotest.failf "predicate %d lost by growth" i)
+    first;
+  List.iteri
+    (fun i q ->
+      if not (fresh (64 + i) == q) then
+        Alcotest.failf "predicate %d lost by growth" (64 + i))
+    later
+
+let test_extend () =
+  let q = Predicate.extend (pred [ 1 ] [ 2 ]) ~must_complete:[ p 3 ] ~must_fail:[ p 4; p 5 ] in
+  check Alcotest.bool "one box with make" true (q == pred [ 1; 3 ] [ 2; 4; 5 ]);
+  check Alcotest.bool "nothing new, same box" true
+    (Predicate.extend q ~must_complete:[ p 1 ] ~must_fail:[ p 4 ] == q);
+  Alcotest.check_raises "complete vs fail"
+    (Invalid_argument "Predicate.extend: inconsistent") (fun () ->
+      ignore (Predicate.extend q ~must_complete:[ p 2 ] ~must_fail:[]));
+  Alcotest.check_raises "both sides at once"
+    (Invalid_argument "Predicate.extend: inconsistent") (fun () ->
+      ignore (Predicate.extend q ~must_complete:[ p 7 ] ~must_fail:[ p 7 ]))
+
 let () =
   Alcotest.run "predicate"
     [
@@ -214,11 +396,16 @@ let () =
           Alcotest.test_case "equal/compare" `Quick test_equal_compare;
           Alcotest.test_case "hash-consing" `Quick test_hash_consing;
           Alcotest.test_case "printing" `Quick test_pp;
+          Alcotest.test_case "extend" `Quick test_extend;
+          Alcotest.test_case "found after table growth" `Quick
+            test_found_after_growth;
         ] );
       ( "fate_registry",
         [
           Alcotest.test_case "record and query" `Quick test_registry_record_and_fate;
           Alcotest.test_case "normalize" `Quick test_registry_normalize;
+          Alcotest.test_case "normalize verdicts match the fold" `Quick
+            test_normalize_both_verdicts;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -229,5 +416,8 @@ let () =
             prop_conflicts_symmetric;
             prop_empty_is_unit;
             prop_resolve_shrinks;
+            prop_routes_share_one_box;
+            prop_box_iff_same_sets;
+            prop_normalize_matches_fold;
           ] );
     ]

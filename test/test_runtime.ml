@@ -171,6 +171,53 @@ let test_fresh_pids_and_spawn_pid () =
     (Invalid_argument "Engine.spawn: pid already in use") (fun () ->
       ignore (Engine.spawn eng ~pid:p0 (fun _ -> ())))
 
+(* The process table is indexed by pid: explicit pids past the
+   allocator's next one, gaps, bad pids and unknown pids. *)
+let test_process_table_edges () =
+  let eng = mk () in
+  let far = Pid.of_int 1000 in
+  ignore (Engine.spawn eng ~pid:far ~name:"far" (fun ctx -> Engine.delay ctx 1.));
+  let next = Engine.spawn eng (fun _ -> ()) in
+  check Alcotest.bool "allocator not moved by an explicit pid" true
+    (Pid.to_int next < 1000);
+  Alcotest.check_raises "duplicate explicit pid"
+    (Invalid_argument "Engine.spawn: pid already in use") (fun () ->
+      ignore (Engine.spawn eng ~pid:far (fun _ -> ())));
+  Alcotest.check_raises "negative pid"
+    (Invalid_argument "Engine.spawn: negative pid") (fun () ->
+      ignore (Engine.spawn eng ~pid:(Pid.of_int (-3)) (fun _ -> ())));
+  check Alcotest.bool "far alive before run" true (Engine.alive eng far);
+  Engine.run eng;
+  check Alcotest.bool "far exited ok" true (Engine.status eng far = Some Engine.Exited_ok);
+  check Alcotest.(option string) "far's name" (Some "far") (Engine.name_of eng far);
+  List.iter
+    (fun n ->
+      let q = Pid.of_int n in
+      check Alcotest.bool "unknown not alive" false (Engine.alive eng q);
+      check Alcotest.bool "unknown has no status" true (Engine.status eng q = None);
+      check Alcotest.bool "unknown has no space" true (Engine.space_of eng q = None);
+      check Alcotest.(list int) "unknown has no children" []
+        (List.map Pid.to_int (Engine.children_of eng q)))
+    [ -1; 500; 999; 1001; 1 lsl 40 ]
+
+let test_children_and_parked_sorted () =
+  let eng = mk () in
+  let parent = Engine.spawn eng (fun ctx -> Engine.delay ctx 1.) in
+  let pids =
+    List.map
+      (fun n ->
+        Engine.spawn eng ~pid:(Pid.of_int n) ~parent (fun ctx ->
+            ignore (Engine.receive ctx ~tag:"never" ())))
+      [ 70; 3; 200; 40; 9 ]
+  in
+  ignore (Engine.spawn eng ~pid:(Pid.of_int 150) (fun _ -> ()));
+  Engine.run eng;
+  let sorted = List.sort Pid.compare pids in
+  check Alcotest.(list int) "children in pid order" (List.map Pid.to_int sorted)
+    (List.map Pid.to_int (Engine.children_of eng parent));
+  check Alcotest.(list int) "parked in pid order" (List.map Pid.to_int sorted)
+    (List.map Pid.to_int (Engine.parked_pids eng))
+
 let test_run_for () =
   let eng = mk () in
   let steps = ref 0 in
@@ -724,6 +771,9 @@ let () =
           Alcotest.test_case "on_exit watcher" `Quick test_on_exit_watcher;
           Alcotest.test_case "fresh pids / reuse" `Quick test_fresh_pids_and_spawn_pid;
           Alcotest.test_case "run_for" `Quick test_run_for;
+          Alcotest.test_case "process table edges" `Quick test_process_table_edges;
+          Alcotest.test_case "children and parked sorted" `Quick
+            test_children_and_parked_sorted;
         ] );
       ( "cpu",
         [

@@ -436,6 +436,30 @@ let test_coordinator_site_crash_recovers () =
       | _ -> false));
   check Alcotest.int "everything reaped" 0 (Engine.live_count eng)
 
+(* ------------------------------------------------------------------ *)
+(* Campaign memory                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A site-campaign cell allocates little straight on the major heap
+   (major words minus promoted words, a count): page buffers are
+   recycled, and the transparency check releases the space of its
+   sequential reference on every branch. *)
+let test_campaign_major_allocation () =
+  let cells = Sitefuzz.cells ~seeds:1 () in
+  let sweep () =
+    Array.iter
+      (fun c -> ignore (Sys.opaque_identity (Sitefuzz.check (Sitefuzz.run_cell c))))
+      cells
+  in
+  sweep ();
+  let _, p0, m0 = Gc.counters () in
+  sweep ();
+  let _, p1, m1 = Gc.counters () in
+  let w = (m1 -. m0 -. (p1 -. p0)) /. float_of_int (Array.length cells) in
+  check Alcotest.int "cells at one seed" 30 (Array.length cells);
+  if w > 1536. then
+    Alcotest.failf "%.1f major-heap words allocated directly per cell (> 1536)" w
+
 let () =
   Alcotest.run "sites"
     [
@@ -484,5 +508,10 @@ let () =
             test_supervised_clean_run;
           Alcotest.test_case "site crash recovers on a survivor" `Quick
             test_coordinator_site_crash_recovers;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "major words per cell" `Quick
+            test_campaign_major_allocation;
         ] );
     ]

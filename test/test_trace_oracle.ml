@@ -323,6 +323,104 @@ let cpu_scenario ~seed ~trace =
   Printf.bprintf log "total=%h" (Engine.total_cpu_time eng);
   (eng, outcome eng log)
 
+(* The CPU paths the digests above need not force, each in its own
+   small scenario: the task holding the minimum remaining work is killed
+   (alone, and tied with another); several tasks finish at one tick;
+   zero, negative and sub-threshold work; a task added at the instant
+   another finishes, both before that finish's tick runs and from the
+   finished task's own resumption. *)
+let cpu_kill_min_scenario ~trace =
+  let eng = Engine.create ~seed:11 ~trace ~cores:(Engine.Cores 2) () in
+  let log = Buffer.create 256 in
+  let worker name work =
+    Engine.spawn eng ~name (fun ctx ->
+        Engine.delay ctx work;
+        note log ctx "done")
+  in
+  let least = worker "least" 0.3 in
+  List.iteri (fun i w -> ignore (worker (Printf.sprintf "w%d" i) w)) [ 0.9; 1.5; 2.0 ];
+  let tie_a = worker "tie-a" 0.6 in
+  ignore (worker "tie-b" 0.6);
+  Engine.after eng ~delay:0.2 (fun () -> Engine.kill eng least ~reason:"cut min");
+  Engine.after eng ~delay:1.0 (fun () -> Engine.kill eng tie_a ~reason:"cut tie");
+  Engine.run eng;
+  Printf.bprintf log "total=%h" (Engine.total_cpu_time eng);
+  (eng, outcome eng log)
+
+let cpu_tie_scenario ~trace =
+  let eng = Engine.create ~seed:12 ~trace ~cores:(Engine.Cores 3) () in
+  let log = Buffer.create 256 in
+  let worker ?(start_delay = 0.) name work =
+    ignore
+      (Engine.spawn eng ~name ~start_delay (fun ctx ->
+           Engine.delay ctx work;
+           note log ctx "done"))
+  in
+  for i = 0 to 5 do
+    worker (Printf.sprintf "same%d" i) 0.75
+  done;
+  worker "long-a" 2.0;
+  worker "long-b" 2.0;
+  (* Under sharing at rate 3/8 then 1, [early] and [late] finish
+     together: their remaining work reaches zero at one update. *)
+  worker ~start_delay:3.0 "early" 1.0;
+  worker ~start_delay:3.5 "late" 0.5;
+  Engine.run eng;
+  Printf.bprintf log "total=%h" (Engine.total_cpu_time eng);
+  (eng, outcome eng log)
+
+let cpu_zero_work_scenario ~trace =
+  let eng = Engine.create ~seed:13 ~trace ~cores:(Engine.Cores 1) () in
+  let log = Buffer.create 256 in
+  ignore
+    (Engine.spawn eng ~name:"busy" (fun ctx ->
+         Engine.delay ctx 1.0;
+         note log ctx "busy done"));
+  List.iteri
+    (fun i work ->
+      ignore
+        (Engine.spawn eng ~name:(Printf.sprintf "z%d" i) ~start_delay:0.25
+           (fun ctx ->
+             Engine.delay ctx work;
+             note log ctx "after";
+             Engine.delay ctx work;
+             note log ctx "again")))
+    [ 0.; -1.; 1e-13; 5e-13; 0.125 ];
+  Engine.run eng;
+  Printf.bprintf log "total=%h" (Engine.total_cpu_time eng);
+  (eng, outcome eng log)
+
+let cpu_add_at_finish_scenario ~trace =
+  let eng = Engine.create ~seed:14 ~trace ~cores:(Engine.Cores 1) () in
+  let log = Buffer.create 256 in
+  ignore
+    (Engine.spawn eng ~name:"first" (fun ctx ->
+         Engine.delay ctx 1.0;
+         note log ctx "first done";
+         Engine.delay ctx 0.5;
+         note log ctx "first again"));
+  (* Its start event is older than the tick that finishes [first]. *)
+  ignore
+    (Engine.spawn eng ~name:"joiner" ~start_delay:1.0 (fun ctx ->
+         Engine.delay ctx 0.25;
+         note log ctx "joiner done"));
+  Engine.after eng ~delay:0.5 (fun () ->
+      ignore
+        (Engine.spawn eng ~name:"spawned" ~start_delay:0.5 (fun ctx ->
+             Engine.delay ctx 0.5;
+             note log ctx "spawned done")));
+  Engine.run eng;
+  Printf.bprintf log "total=%h" (Engine.total_cpu_time eng);
+  (eng, outcome eng log)
+
+let cpu_edge_scenarios =
+  [
+    ("cpu-kill-min", cpu_kill_min_scenario);
+    ("cpu-tie", cpu_tie_scenario);
+    ("cpu-zero-work", cpu_zero_work_scenario);
+    ("cpu-add-at-finish", cpu_add_at_finish_scenario);
+  ]
+
 let scenarios =
   [
     ("bulk", fun ~trace -> let e, _, o = bulk_scenario ~trace in (e, o));
@@ -345,6 +443,34 @@ let test_scenarios_digest () =
       scenarios
   in
   check Alcotest.string "scenario digest" "2891e9f60dfc41f6" (digest_cells texts)
+
+let test_cpu_edge_digest () =
+  let texts =
+    List.concat_map
+      (fun (_, run) ->
+        List.map
+          (fun trace ->
+            let eng, o = run ~trace in
+            cell_text eng o)
+          [ true; false ])
+      cpu_edge_scenarios
+  in
+  check Alcotest.string "cpu edge digest" "09180512b34d193e" (digest_cells texts)
+
+(* The tie scenario does finish several tasks at one instant. *)
+let test_cpu_tie_finishes_together () =
+  let eng, _ = cpu_tie_scenario ~trace:true in
+  let times =
+    List.filter_map
+      (function t, Trace.Exited _ -> Some t | _ -> None)
+      (Trace.events (Engine.trace eng))
+  in
+  let most =
+    List.fold_left
+      (fun acc t -> max acc (List.length (List.filter (Float.equal t) times)))
+      0 times
+  in
+  if most < 6 then Alcotest.failf "at most %d exits share an instant" most
 
 (* Every effect a sweep visit can have must occur in the pinned runs: a
    dead world killed, a deferred fate, a deferred (non-cloneable)
@@ -401,5 +527,9 @@ let () =
             test_sweep_effects_covered;
           Alcotest.test_case "bulk delivery to world copies" `Quick
             test_bulk_multi_copy;
+          Alcotest.test_case "cpu edge scenarios digest" `Quick
+            test_cpu_edge_digest;
+          Alcotest.test_case "tied tasks finish together" `Quick
+            test_cpu_tie_finishes_together;
         ] );
     ]
